@@ -16,9 +16,9 @@ effect, and identical invocations produce byte-identical output.
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 import jsonschema
@@ -35,7 +35,6 @@ __all__ = [
     "parse_problem",
     "run",
     "main",
-    "thread_cap",
 ]
 
 EXIT_OK = 0
@@ -56,30 +55,21 @@ class CliInputError(ValueError):
     """Invalid command line, problem file, or expression."""
 
 
-def thread_cap() -> int:
-    """Parallelism cap from FRACPAINLEVE_THREADS (0 = auto, the default).
-
-    Every algorithm in this package is deterministic and currently runs on a
-    single thread, so any cap is honoured trivially; the variable is parsed
-    and validated so misconfiguration fails loudly.
-    """
-    raw = os.environ.get("FRACPAINLEVE_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise CliInputError(f"FRACPAINLEVE_THREADS must be an integer, got {raw!r}")
-    if cap < 0:
-        raise CliInputError(f"FRACPAINLEVE_THREADS must be >= 0, got {cap}")
-    return cap
-
-
-def _load_schema(name: str) -> dict:
+@cache
+def _validator(name: str) -> jsonschema.protocols.Validator:
+    """Validator for a packaged schema, built and checked once on first use."""
     text = resources.files("fracpainleve").joinpath(f"schema/{name}").read_text()
-    return json.loads(text)
+    schema = json.loads(text)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
-_PROBLEM_SCHEMA = _load_schema("problem.schema.json")
-_REPORT_SCHEMA = _load_schema("report.schema.json")
+def _validate(doc: dict, name: str) -> None:
+    """Raise what ``jsonschema.validate`` raises, without rebuilding the validator."""
+    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
+    if error is not None:
+        raise error
 
 
 @dataclass(frozen=True)
@@ -108,7 +98,7 @@ class Report:
 
     def to_json_text(self) -> str:
         doc = self.to_json_dict()
-        jsonschema.validate(doc, _REPORT_SCHEMA)
+        _validate(doc, "report.schema.json")
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -181,7 +171,7 @@ def parse_problem(path: str) -> ProblemFile:
                 f"field 'alpha': got {alpha}, but alpha ∈ (0, 1] is required"
             )
     try:
-        jsonschema.validate(doc, _PROBLEM_SCHEMA)
+        _validate(doc, "problem.schema.json")
     except jsonschema.ValidationError as exc:
         raise CliInputError(
             f"problem file invalid at {exc.json_path}: {exc.message}"
@@ -382,7 +372,6 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        thread_cap()
         return args.handler(args)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

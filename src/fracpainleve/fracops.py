@@ -69,12 +69,21 @@ class GridFunction:
 
     def spacing(self) -> float:
         """Uniform spacing; DomainError when the grid is not uniform."""
-        diffs = np.diff(self.grid)
-        h = diffs[0]
-        span = self.grid[-1] - self.grid[0]
-        if np.max(np.abs(diffs - h)) > 1e-12 * max(abs(span), 1.0):
+        h = _uniform_step(self.grid)
+        if h is None:
             raise DomainError("grid is not uniform")
-        return float(h)
+        return h
+
+
+def _uniform_step(grid: np.ndarray) -> float | None:
+    """Spacing of a grid whose steps agree within 1e-12 of its span, else None."""
+    diffs = np.diff(grid)
+    if diffs.size == 0:
+        return None
+    h = float(diffs[0])
+    if np.max(np.abs(diffs - h)) > 1e-12 * max(abs(grid[-1] - grid[0]), 1.0):
+        return None
+    return h
 
 
 def caputo_power(term: PowerTerm, alpha: float, t: float) -> float:
@@ -123,9 +132,6 @@ def product_trapezoid_weights(grid: np.ndarray, alpha: float) -> np.ndarray:
         raise DomainError("need at least 2 grid points")
     if alpha <= 0.0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    diffs = np.diff(t)
-    if np.max(np.abs(diffs - diffs[0])) <= 1e-12 * max(abs(t[-1] - t[0]), 1.0):
-        return _uniform_weights(n, float(diffs[0]), alpha)
     # D[i, j] = t_i - t_j; panel j spans [t_j, t_{j+1}] and contributes to
     # row i only when j + 1 <= i.
     diff = t[:, None] - t[None, :]
@@ -149,28 +155,49 @@ def product_trapezoid_weights(grid: np.ndarray, alpha: float) -> np.ndarray:
     return W
 
 
-def _uniform_weights(n: int, h: float, alpha: float) -> np.ndarray:
-    """Uniform-grid weights: all panel moments depend only on the lag i - j,
-    so the N^2 power evaluations collapse to one-dimensional tables."""
-    k = np.arange(n, dtype=float)
-    pk = (k * h) ** alpha
-    pk1 = (k * h) ** (alpha + 1.0)
-    m0 = np.zeros(n)
-    m1 = np.zeros(n)
-    m0[1:] = (pk[1:] - pk[:-1]) / alpha
-    m1[1:] = k[1:] * h * m0[1:] - (pk1[1:] - pk1[:-1]) / (alpha + 1.0)
-    # index n is padding only ever read under a false mask
-    left = np.zeros(n + 1)
+def _lag_table(
+    n: int, h: float, alpha: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Product-quadrature weights of a uniform n-point grid, indexed by lag.
+
+    On a uniform grid every panel moment depends only on the lag l = i - j
+    between row i and panel [t_j, t_{j+1}], so the weights of
+    :func:`product_trapezoid_weights` collapse to one-dimensional tables:
+
+    * ``m0[l]``, l < n: the product-rectangle moment of the kernel over the
+      panel at lag l (``m0[0] = 0``);
+    * ``c[l]``, l < n: the trapezoid weight ``left[l] + right[l+1]`` of f_j
+      in row j + l, with ``left[0] = 0``;
+    * ``right[l]``, l <= n: the panel's weight on its right end point, which
+      the first column lacks: ``W[i, 0] = c[i] - right[i+1]``.
+
+    No 1/Gamma(alpha) factor is included.
+    """
+    if alpha <= 0.0:
+        raise DomainError(f"alpha must be positive, got {alpha}")
+    k = np.arange(n + 1, dtype=float)
+    pk = k**alpha
+    pk1 = k ** (alpha + 1.0)
+    m0 = np.zeros(n + 1)
     right = np.zeros(n + 1)
-    left[1:n] = m0[1:] - m1[1:] / h
-    right[1:n] = m1[1:] / h
-    idx = np.arange(n)
-    lag = idx[:, None] - idx[None, :]
-    lag_left = np.clip(lag, 0, n)
-    lag_right = np.clip(lag + 1, 0, n)
-    W = np.where(lag >= 1, left[lag_left], 0.0)
-    W += np.where((idx[None, :] >= 1) & (lag >= 0), right[lag_right], 0.0)
-    return W
+    # moments in units of h; the kernel scales them all by h^alpha
+    m0[1:] = (pk[1:] - pk[:-1]) / alpha
+    right[1:] = k[1:] * m0[1:] - (pk1[1:] - pk1[:-1]) / (alpha + 1.0)
+    scale = h**alpha
+    m0 *= scale
+    right *= scale
+    c = m0[:n] - right[:n] + right[1:]
+    return m0[:n], c, right
+
+
+def _lag_apply(c: np.ndarray, right: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """(W f)[i] = sum_{j <= i} c[i - j] f_j - right[i + 1] f_0 for the tables
+    of :func:`_lag_table`: a Toeplitz convolution, done by zero-padded FFT in
+    O(N log N) without forming W."""
+    n = f.size
+    size = 1 << (2 * n - 1).bit_length()
+    conv = np.fft.irfft(np.fft.rfft(c, size) * np.fft.rfft(f, size), size)[:n]
+    return conv - right[1 : n + 1] * f[0]
 
 
 def rl_integral(f: GridFunction, alpha: float) -> GridFunction:
@@ -180,8 +207,13 @@ def rl_integral(f: GridFunction, alpha: float) -> GridFunction:
     (t - tau)^(alpha-1) / Gamma(alpha); the value at the first grid point
     is 0 by construction.
     """
-    W = product_trapezoid_weights(f.grid, alpha)
-    out = W @ f.values / specfun.gamma(alpha).value()
+    h = _uniform_step(f.grid)
+    if h is None:
+        out = product_trapezoid_weights(f.grid, alpha) @ f.values
+    else:
+        _, c, right = _lag_table(f.grid.size, h, alpha)
+        out = _lag_apply(c, right, f.values)
+    out /= specfun.gamma(alpha).value()
     out[0] = 0.0
     return GridFunction(f.grid.copy(), out)
 

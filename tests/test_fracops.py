@@ -1,16 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracpainleve.fracops import (
     DomainError,
     GridFunction,
     PowerTerm,
+    _lag_apply,
+    _lag_table,
     caputo_l1,
     caputo_power,
+    product_trapezoid_weights,
     rl_integral,
 )
 
@@ -94,6 +98,55 @@ class TestRlIntegral:
             GridFunction(np.array([0.0, 0.5, 0.5, 1.0]), np.zeros(4))
         with pytest.raises(DomainError):
             GridFunction(np.array([0.0, 1.0]), np.zeros(3))
+
+    def test_uniform_grid_allocates_no_matrix(self):
+        # the dense path needs 134 MB for one 4096 x 4096 array alone
+        f = grid_fn(np.cos, n=4096)
+        tracemalloc.start()
+        try:
+            rl_integral(f, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+
+@given(
+    n=st.integers(min_value=2, max_value=2048),
+    alpha=st.floats(min_value=1e-6, max_value=1.0),
+    length=st.floats(min_value=1e-3, max_value=100.0),
+    shift=st.floats(min_value=-1.0, max_value=1.0),
+    coeffs=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=5, max_size=5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n=2048, alpha=0.5, length=1.0, shift=0.0, coeffs=[1.0, -1.0, 0.5, 1.0, 0.3], seed=0)
+@settings(max_examples=20, deadline=None)
+def test_lag_apply_matches_dense_weights(n, alpha, length, shift, coeffs, seed):
+    """The FFT lag apply equals the dense product-trapezoid matrix product.
+
+    The dense reference forms t_i - t_j in floating point, so the interval
+    stays within one length of the origin, and both paths round their panel
+    moments with an error growing with the lag that cancels between
+    neighbouring weights only for smooth f.  Rough f is checked against the
+    Toeplitz matrix of the same tables instead, which tests the apply alone.
+    """
+    a = shift * length
+    grid = np.linspace(a, a + length, n)
+    s = (grid - a) / length
+    p = coeffs
+    smooth = p[0] + p[1] * s + p[2] * s**2 + p[3] * np.cos(2.0 * np.pi * s + 6.0 * p[4])
+    _, c, right = _lag_table(n, length / (n - 1), alpha)
+    dense = product_trapezoid_weights(grid, alpha) @ smooth
+    err = np.max(np.abs(_lag_apply(c, right, smooth) - dense))
+    assert err <= 1e-13 * np.max(np.abs(dense))
+
+    rough = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
+    toeplitz = np.where(lag >= 0, c[np.maximum(lag, 0)], 0.0)
+    toeplitz[:, 0] -= right[1:]
+    direct = toeplitz @ rough
+    err = np.max(np.abs(_lag_apply(c, right, rough) - direct))
+    assert err <= 1e-13 * np.max(np.abs(direct))
 
 
 class TestCaputoL1:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +71,23 @@ def test_pole_pair_limit_matches_recurrence():
     assert pole_pair_ratio_limit(0.0, -1.0) == -1.0
     assert pole_pair_ratio_limit(-1.0, -2.0) == -2.0
     assert pole_pair_ratio_limit(0.0, -2.0) == 2.0
+
+
+def test_gamma_matches_mpmath_oracle():
+    # log-magnitude and sign on 20 001 points of [-10, 10]; the integers
+    # among them are poles and only need the flag
+    worst = 0.0
+    with mpmath.workdps(30):
+        for i in range(20_001):
+            x = -10.0 + i * 1e-3
+            g = gamma(x)
+            if abs(x - round(x)) < 1e-9 and round(x) <= 0:
+                assert g.is_pole
+                continue
+            exact = mpmath.gamma(mpmath.mpf(x))
+            assert g.sign == (1 if exact > 0 else -1), x
+            worst = max(worst, abs(g.log_magnitude - float(mpmath.log(abs(exact)))))
+    assert worst <= 1e-13
 
 
 @given(st.floats(min_value=-10.0, max_value=10.0))
