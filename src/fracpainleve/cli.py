@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, existence, painleve, solvers, specfun
 from .expr import Expression, ExpressionError, compile_expression
-from .fracops import DomainError, PowerTerm, caputo_power
+from .fracops import PowerTerm, caputo_power
 
 __all__ = [
     "CliInputError",
@@ -40,15 +40,6 @@ __all__ = [
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
-
-_NUMERICAL_ERRORS = (
-    specfun.MittagLefflerRangeError,
-    solvers.NonConvergenceError,
-    solvers.BoxEscapeError,
-    existence.NonFiniteFieldError,
-    ZeroDivisionError,
-    ArithmeticError,
-)
 
 
 class CliInputError(ValueError):
@@ -371,15 +362,14 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+    # solver, certificate and Gamma failures are ArithmeticErrors; the
+    # Mittag-Leffler range error is a ValueError too, so it is caught first
     try:
         return args.handler(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _NUMERICAL_ERRORS as exc:
+    except (specfun.MittagLefflerRangeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (DomainError, painleve.NoBalanceError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -175,14 +175,28 @@ def _lag_table(
     """
     if alpha <= 0.0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    k = np.arange(n + 1, dtype=float)
-    pk = k**alpha
-    pk1 = k ** (alpha + 1.0)
+    # moments in units of h (the kernel scales them all by h^alpha), in forms
+    # free of cancellation: differences of k^alpha lose digits as k grows
     m0 = np.zeros(n + 1)
     right = np.zeros(n + 1)
-    # moments in units of h; the kernel scales them all by h^alpha
-    m0[1:] = (pk[1:] - pk[:-1]) / alpha
-    right[1:] = k[1:] * m0[1:] - (pk1[1:] - pk1[:-1]) / (alpha + 1.0)
+    m0[1] = 1.0 / alpha
+    right[1] = 1.0 / (alpha * (alpha + 1.0))
+    k = np.arange(2, n + 1, dtype=float)
+    pk = k ** (alpha - 1.0)
+    # m0[k] = (k^alpha - (k-1)^alpha) / alpha
+    m0[2:] = -k * pk * np.expm1(alpha * np.log1p(-1.0 / k)) / alpha
+    # right[k] = int_0^1 s (k-s)^(alpha-1) ds
+    #          = k^(alpha-1) sum_j (1-alpha)_j / (j! (j+2)) k^(-j),
+    # positive terms with ratio <= 1/2, so the k = 2 column converges last
+    x = 1.0 / k
+    term = np.full(k.size, 0.5)
+    total = term.copy()
+    j = 0
+    while k.size and term[0] > 1e-17 * total[0]:
+        term *= (j + 1.0 - alpha) * (j + 2.0) / ((j + 1.0) * (j + 3.0)) * x
+        total += term
+        j += 1
+    right[2:] = pk * total
     scale = h**alpha
     m0 *= scale
     right *= scale

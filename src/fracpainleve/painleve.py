@@ -15,7 +15,10 @@ code path.
 """
 
 import enum
+import heapq
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import specfun
@@ -37,7 +40,6 @@ __all__ = [
     "DepthOverflowError",
     "leading_order",
     "resonances",
-    "compatibility",
     "expand_series",
     "run_test",
     "analyze_multiterm",
@@ -47,6 +49,14 @@ _ZERO_EXPONENT_TOL = 1e-12
 _POSITIVE_TOL = 1e-9
 _DEDUPE_TOL = 1e-9
 _MAX_DEPTH = 64
+# fixed scan and ladder parameters (not problem options)
+_SCAN_LO = -10.0
+_SCAN_HI = 10.0
+_SCAN_STEP = 1e-3
+_MINUS_ONE_TOL = 1e-6
+_BISECT_TOL = 1e-10
+_LADDER_TOL = 1e-6
+_MAX_DENOMINATOR = 64
 
 
 class NoBalanceError(ValueError):
@@ -59,18 +69,16 @@ class DepthOverflowError(ValueError):
 
 @dataclass(frozen=True)
 class EngineSettings:
-    """Tolerances and scan parameters; defaults cover desk-scale problems."""
+    """The tolerances a problem file may set through ``options``: the largest
+    indicial residual a resonance may keep (``tol_res``), the largest forcing
+    a compatible resonance may leave (``tol_compat``) and the half-width of
+    the band around a Gamma pole (``pole_band``), whose edges the scan steps
+    to and inside which a root is ``near_pole``.  The scan window and step
+    and the other tolerances are module constants."""
 
-    scan_lo: float = -10.0
-    scan_hi: float = 10.0
-    scan_step: float = 1e-3
     pole_band: float = 1e-6
     tol_res: float = 1e-8
     tol_compat: float = 1e-8
-    minus_one_tol: float = 1e-6
-    bisect_tol: float = 1e-10
-    ladder_tol: float = 1e-6
-    max_denominator: int = 64
 
 
 DEFAULT_SETTINGS = EngineSettings()
@@ -274,11 +282,14 @@ class PainleveReport:
         }
 
 
-def _balance_ratio(sigma: float, alpha: float) -> float | GammaRatioDegeneracy:
-    """Gamma(1-sigma)/Gamma(1-sigma-alpha) with the pole-pair limit resolved."""
-    ratio = specfun.gamma_ratio(1.0 - sigma, 1.0 - sigma - alpha)
+def _power_ratio(x: float, alpha: float) -> float | GammaRatioDegeneracy:
+    """Power-rule factor Gamma(x)/Gamma(x-alpha) of (t-t0)^(x-1); pole pairs
+    resolve to their finite limit, ``INFINITE`` passes through.  Callers form
+    x themselves: at alpha = 1 the indicial residual is exactly zero across a
+    pole-pair band, where rounding x differently moves the bisected root."""
+    ratio = specfun.gamma_ratio(x, x - alpha)
     if ratio is GammaRatioDegeneracy.INDETERMINATE:
-        return specfun.pole_pair_ratio_limit(1.0 - sigma, 1.0 - sigma - alpha)
+        return specfun.pole_pair_ratio_limit(x, x - alpha)
     return ratio
 
 
@@ -307,9 +318,7 @@ def _amplitude_from_power(c: float, exponent: float) -> tuple[float, bool]:
     return _root(abs(c), exponent), False
 
 
-def leading_order(
-    problem: PowerLawFde, settings: EngineSettings = DEFAULT_SETTINGS
-) -> LeadingOrder:
+def leading_order(problem: PowerLawFde) -> LeadingOrder:
     """Balance the fractional derivative of the ansatz against the dominant
     right-hand-side term.
 
@@ -325,7 +334,7 @@ def leading_order(
             f"every term has power <= 1 (max {m}); no singular balance exists"
         )
     sigma = problem.alpha / (m - 1.0)
-    ratio = _balance_ratio(sigma, problem.alpha)
+    ratio = _power_ratio(1.0 - sigma, problem.alpha)
     if ratio is GammaRatioDegeneracy.INFINITE or ratio == 0.0:
         return LeadingOrder(
             sigma=sigma,
@@ -354,25 +363,10 @@ def leading_order(
     )
 
 
-def _indicial_value(r: float, sigma: float, alpha: float) -> float | None:
-    """g(r) = Gamma(r+1-sigma)/Gamma(r+1-sigma-alpha); None when only the
-    numerator poles (a genuine infinity), pole pairs resolved by limit."""
-    num = r + 1.0 - sigma
-    den = num - alpha
-    ratio = specfun.gamma_ratio(num, den)
-    if ratio is GammaRatioDegeneracy.INDETERMINATE:
-        return specfun.pole_pair_ratio_limit(num, den)
-    if ratio is GammaRatioDegeneracy.INFINITE:
-        return None
-    return ratio
-
-
 def _pole_grid(anchor: float, lo: float, hi: float) -> list[float]:
     """Points anchor - n (n >= 0 integer) inside [lo, hi]."""
     out = []
-    n = math.ceil(anchor - hi)
-    if n < 0:
-        n = 0
+    n = max(0, math.ceil(anchor - hi))
     p = anchor - n
     while p >= lo - 1e-12:
         if p <= hi + 1e-12:
@@ -382,11 +376,14 @@ def _pole_grid(anchor: float, lo: float, hi: float) -> list[float]:
     return out
 
 
-def _bisect(
-    f, a: float, b: float, fa: float, fb: float, tol: float, resid_tol: float
-) -> float:
-    """Bisect to width tol; where the residual is still above resid_tol
-    (steep roots near poles), keep halving down to machine spacing."""
+def _unpaired(poles: list[float], others: list[float]) -> list[float]:
+    """The poles not within 1e-9 of any pole in ``others``."""
+    return [p for p in poles if all(abs(p - q) >= 1e-9 for q in others)]
+
+
+def _bisect(f, a: float, b: float, fa: float, fb: float, resid_tol: float) -> float:
+    """Bisect to width _BISECT_TOL; where the residual is still above
+    resid_tol (steep roots near poles), keep halving down to machine spacing."""
     for _ in range(200):
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
@@ -398,7 +395,7 @@ def _bisect(
             b, fb = mid, fm
         else:
             a, fa = mid, fm
-        if b - a <= tol and min(abs(fa), abs(fb)) <= resid_tol:
+        if b - a <= _BISECT_TOL and min(abs(fa), abs(fb)) <= resid_tol:
             break
     return a if abs(fa) <= abs(fb) else b
 
@@ -410,10 +407,12 @@ def resonances(
 ) -> list[Resonance]:
     """All real roots of g(r) = p f(t0) A^(p-1) on the scan window.
 
-    The scan walks a fixed grid looking for sign changes of the residual,
-    splits brackets at numerator-pole discontinuities, and refines each root
-    by bisection.  Roots are deduplicated, residual-checked, sorted, and
-    classified; the returned list is deterministic for fixed settings.
+    One sorted list of points holds the scan grid, every unpaired numerator
+    pole (where the residual is infinite) and that pole's band edges; the
+    residual is evaluated once per point.  Each consecutive pair with finite
+    residuals of opposite sign is refined by bisection.  Roots are
+    deduplicated, residual-checked and classified; the returned list is
+    deterministic for fixed settings.
     """
     if leading.degenerate:
         raise ValueError("leading order is degenerate; no resonance analysis")
@@ -425,68 +424,35 @@ def resonances(
         raise ValueError("leading order does not match the problem's dominant term")
     rhs = m * dominant.coefficient * leading.amplitude_power
 
-    lo, hi, step = settings.scan_lo, settings.scan_hi, settings.scan_step
+    lo, hi, band = _SCAN_LO, _SCAN_HI, settings.pole_band
     num_poles = _pole_grid(sigma - 1.0, lo, hi)
     den_poles = _pole_grid(sigma + alpha - 1.0, lo, hi)
-
-    def _is_pair(p: float) -> bool:
-        # A numerator pole that coincides with a denominator pole resolves to
-        # a finite limit; it is not a discontinuity and gets no band.
-        return any(abs(p - q) < 1e-9 for q in den_poles)
-
-    hazards = sorted(p for p in num_poles if not _is_pair(p))
-    banded = sorted(
-        [p for p in num_poles if not _is_pair(p)]
-        + [p for p in den_poles if not any(abs(p - q) < 1e-9 for q in num_poles)]
-    )
+    # a numerator pole on a denominator pole resolves to a finite limit: it is
+    # no discontinuity and gets no band
+    hazards = _unpaired(num_poles, den_poles)
+    banded = hazards + _unpaired(den_poles, num_poles)
 
     def resid(r: float) -> float | None:
-        g = _indicial_value(r, sigma, alpha)
-        return None if g is None else g - rhs
+        g = _power_ratio(r + 1.0 - sigma, alpha)
+        return None if g is GammaRatioDegeneracy.INFINITE else g - rhs
 
-    n_steps = int(round((hi - lo) / step))
+    n_steps = int(round((hi - lo) / _SCAN_STEP))
+    grid = (lo + i * _SCAN_STEP for i in range(n_steps + 1))
+    edges = sorted(e for p in hazards for e in (p - band, p + band) if lo <= e <= hi)
+    # the residual is infinite on the poles themselves; no call needed there
+    samples = heapq.merge(
+        ((r, resid(r)) for r in heapq.merge(grid, edges)),
+        [(p, None) for p in sorted(hazards)],
+        key=operator.itemgetter(0),
+    )
     roots: list[float] = []
-
-    def _line_search(a: float, b: float, fa: float | None, fb: float | None) -> None:
+    for (a, fa), (b, fb) in itertools.pairwise(samples):
         if fa is None or fb is None:
-            return
+            continue
         if fa == 0.0:
             roots.append(a)
-            return
-        if (fa < 0.0) != (fb < 0.0):
-            roots.append(
-                _bisect(resid, a, b, fa, fb, settings.bisect_tol, settings.tol_res)
-            )
-
-    prev_r: float | None = None
-    prev_f: float | None = None
-    for i in range(n_steps + 1):
-        r = lo + i * step
-        f = resid(r)
-        if f is None:
-            # the sample sits on a numerator pole; step just outside the
-            # exclusion band so the adjacent brackets are not lost
-            r = r + settings.pole_band
-            f = resid(r)
-        inside = [p for p in hazards if prev_r is not None and prev_r < p < r]
-        if prev_r is not None:
-            if inside:
-                segments = []
-                left = prev_r
-                fleft = prev_f
-                for p in inside:
-                    edge = p - settings.pole_band
-                    if edge > left:
-                        segments.append((left, edge, fleft, resid(edge)))
-                    left = p + settings.pole_band
-                    fleft = resid(left)
-                if r > left:
-                    segments.append((left, r, fleft, f))
-                for a, b, fa, fb in segments:
-                    _line_search(a, b, fa, fb)
-            else:
-                _line_search(prev_r, r, prev_f, f)
-        prev_r, prev_f = r, f
+        elif (fa < 0.0) != (fb < 0.0):
+            roots.append(_bisect(resid, a, b, fa, fb, settings.tol_res))
 
     deduped: list[float] = []
     for r in sorted(roots):
@@ -498,10 +464,9 @@ def resonances(
         fr = resid(r)
         if fr is None or abs(fr) > settings.tol_res:
             continue
-        near = any(abs(r - p) <= settings.pole_band for p in banded)
-        if near:
+        if any(abs(r - p) <= band for p in banded):
             kind = ResonanceKind.NEAR_POLE
-        elif abs(r + 1.0) <= settings.minus_one_tol:
+        elif abs(r + 1.0) <= _MINUS_ONE_TOL:
             kind = ResonanceKind.PRINCIPAL_MINUS_ONE
         elif r > _POSITIVE_TOL:
             kind = ResonanceKind.POSITIVE
@@ -509,16 +474,6 @@ def resonances(
             kind = ResonanceKind.NEGATIVE_OTHER
         out.append(Resonance(r, kind))
     return out
-
-
-def _caputo_factor(exponent: float, alpha: float) -> float | GammaRatioDegeneracy:
-    """Formal power-rule factor for (t-t0)^exponent; constants map to 0."""
-    if abs(exponent) <= _ZERO_EXPONENT_TOL:
-        return 0.0
-    ratio = specfun.gamma_ratio(exponent + 1.0, exponent + 1.0 - alpha)
-    if ratio is GammaRatioDegeneracy.INDETERMINATE:
-        return specfun.pole_pair_ratio_limit(exponent + 1.0, exponent + 1.0 - alpha)
-    return ratio
 
 
 def _snap_rational(x: float, max_den: int, tol: float) -> float:
@@ -603,11 +558,11 @@ def expand_series(
         (i, r.value) for i, r in enumerate(res) if r.value > _POSITIVE_TOL
     ]
     delta0 = min([r for _, r in positive] + [alpha])
-    delta = _snap_rational(delta0, settings.max_denominator, settings.ladder_tol)
+    delta = _snap_rational(delta0, _MAX_DENOMINATOR, _LADDER_TOL)
 
     def _ladder_index(x: float) -> int | None:
         k = round(x / delta)
-        if abs(x - k * delta) <= settings.ladder_tol:
+        if abs(x - k * delta) <= _LADDER_TOL:
             return k
         return None
 
@@ -661,7 +616,10 @@ def expand_series(
             # recursion does not exist past this point
             entries.append(CompatibilityEntry(None, k, False, "nonreal_series", None))
             break
-        factor = _caputo_factor(-sigma + k * delta, alpha)
+        exponent = -sigma + k * delta
+        factor = 0.0  # a constant differentiates to zero
+        if abs(exponent) > _ZERO_EXPONENT_TOL:
+            factor = _power_ratio(exponent + 1.0, alpha)
         if k in order_of_resonance:
             satisfied = abs(forcing) <= settings.tol_compat
             entries.append(
@@ -692,17 +650,6 @@ def expand_series(
     return ExpansionResult(delta, tuple(coeffs), tuple(entries))
 
 
-def compatibility(
-    problem: PowerLawFde,
-    leading: LeadingOrder,
-    res: list[Resonance],
-    depth: int,
-    settings: EngineSettings = DEFAULT_SETTINGS,
-) -> list[CompatibilityEntry]:
-    """Consistency checks of the series recursion; see :func:`expand_series`."""
-    return list(expand_series(problem, leading, res, depth, settings).entries)
-
-
 def run_test(
     problem: PowerLawFde,
     depth: int = 12,
@@ -714,7 +661,7 @@ def run_test(
     free location of the singularity), the amplitude is real, and every
     compatibility check is satisfied.
     """
-    leading = leading_order(problem, settings)
+    leading = leading_order(problem)
     dominant = problem.dominant
     notes = [
         f"dominant term: power {dominant.power!r} with coefficient {dominant.coefficient!r}"
@@ -745,7 +692,7 @@ def run_test(
             verdict=Verdict.FAILS_COMPLEX_OR_MISSING_RESONANCE,
             notes=tuple(notes),
         )
-    compat = compatibility(problem, leading, res, depth, settings)
+    compat = expand_series(problem, leading, res, depth, settings).entries
     if not has_minus_one:
         verdict = Verdict.FAILS_COMPLEX_OR_MISSING_RESONANCE
     elif any(not entry.satisfied for entry in compat):
@@ -756,7 +703,7 @@ def run_test(
         leading=leading,
         resonances=tuple(res),
         has_minus_one=has_minus_one,
-        compatibility=tuple(compat),
+        compatibility=compat,
         verdict=verdict,
         notes=tuple(notes),
     )

@@ -130,6 +130,45 @@ class TestSubcommands:
         assert proc.stdout == ""
         assert "range" in proc.stderr
 
+    def test_picard_non_convergence_exit_3(self, tmp_path):
+        f = tmp_path / "one_iter.json"
+        f.write_text(
+            json.dumps(
+                {
+                    "kind": "ivp",
+                    "alpha": 0.5,
+                    "rhs": "sin(t) - y",
+                    "interval": [0, 1],
+                    "y0": 1.0,
+                    "box_radius": 1.0,
+                    "options": {"max_iter": 1},
+                }
+            )
+        )
+        proc = run_cli("solve", "--problem", str(f), "--method", "picard")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "no convergence after 1 iterations" in proc.stderr
+
+    def test_certify_non_finite_field_exit_3(self, tmp_path):
+        f = tmp_path / "pole.json"
+        f.write_text(
+            json.dumps(
+                {
+                    "kind": "ivp",
+                    "alpha": 0.5,
+                    "rhs": "1/(y-1)",
+                    "interval": [0, 1],
+                    "y0": 1.0,
+                    "box_radius": 1.0,
+                }
+            )
+        )
+        proc = run_cli("certify", "--problem", str(f))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "is not finite" in proc.stderr
+
     def test_caputo_value(self):
         proc = run_cli("caputo", "--alpha", "0.5", "--gamma", "1")
         assert proc.returncode == 0

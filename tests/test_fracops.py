@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -125,10 +126,10 @@ def test_lag_apply_matches_dense_weights(n, alpha, length, shift, coeffs, seed):
     """The FFT lag apply equals the dense product-trapezoid matrix product.
 
     The dense reference forms t_i - t_j in floating point, so the interval
-    stays within one length of the origin, and both paths round their panel
-    moments with an error growing with the lag that cancels between
-    neighbouring weights only for smooth f.  Rough f is checked against the
-    Toeplitz matrix of the same tables instead, which tests the apply alone.
+    stays within one length of the origin, and it rounds its panel moments
+    with an error growing with the lag that cancels between neighbouring
+    weights only for smooth f.  Rough f is checked against the Toeplitz
+    matrix of the same tables instead, which tests the apply alone.
     """
     a = shift * length
     grid = np.linspace(a, a + length, n)
@@ -147,6 +148,34 @@ def test_lag_apply_matches_dense_weights(n, alpha, length, shift, coeffs, seed):
     direct = toeplitz @ rough
     err = np.max(np.abs(_lag_apply(c, right, rough) - direct))
     assert err <= 1e-13 * np.max(np.abs(direct))
+
+
+def test_lag_table_matches_mpmath_moments():
+    """Each table entry is within 1e-14 of its 50-digit closed form, up to
+    lags where differences of k^alpha would have cancelled most digits."""
+    lags = (1, 2, 3, 10, 100, 2048, 65536)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for alpha in (0.05, 0.3, 0.5, 0.7, 0.95, 1.0):
+            m0, c, right = _lag_table(lags[-1] + 1, 1.0, alpha)
+            a = mpmath.mpf(alpha)
+
+            def exact_m0(k):
+                return (mpmath.mpf(k) ** a - mpmath.mpf(k - 1) ** a) / a
+
+            def exact_right(k):
+                k = mpmath.mpf(k)
+                return k * exact_m0(k) - (k ** (a + 1) - (k - 1) ** (a + 1)) / (a + 1)
+
+            for k in lags:
+                exact_c = exact_m0(k) - exact_right(k) + exact_right(k + 1)
+                for got, exact in (
+                    (m0[k], exact_m0(k)),
+                    (right[k], exact_right(k)),
+                    (c[k], exact_c),
+                ):
+                    worst = max(worst, float(abs(mpmath.mpf(float(got)) / exact - 1)))
+    assert worst <= 1e-14
 
 
 class TestCaputoL1:

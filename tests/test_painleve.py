@@ -17,7 +17,6 @@ from fracpainleve.painleve import (
     RhsTerm,
     Verdict,
     analyze_multiterm,
-    compatibility,
     expand_series,
     leading_order,
     resonances,
@@ -246,12 +245,89 @@ class TestResonances:
         assert hits[0].classification is ResonanceKind.NEAR_POLE
 
 
+# Full resonance lists of the scan (value, classification), pinned so a
+# rewrite of the scan keeps every root; values agree to 1e-10, the
+# bisection tolerance.
+GOLDEN_RESONANCES = {
+    # numerator poles sigma - 1 - n fall exactly on scan-grid points
+    "logistic_a04": (
+        logistic(0.4),
+        [
+            (-9.114110194146633, "negative_other"),
+            (-8.109901441872118, "negative_other"),
+            (-7.1048957340717305, "negative_other"),
+            (-6.098796286046504, "negative_other"),
+            (-5.091121367633343, "negative_other"),
+            (-4.081021453559397, "negative_other"),
+            (-3.0668088487386704, "negative_other"),
+            (-2.0444353247284894, "negative_other"),
+            (-1.0, "principal_minus_one"),
+            (0.3655268343687057, "positive"),
+        ],
+    ),
+    # the bundled cubic problem
+    "cubic_amplitude_a08": (
+        cubic(0.8),
+        [
+            (-9.824911263108254, "negative_other"),
+            (-8.827309695661068, "negative_other"),
+            (-7.830286952257157, "negative_other"),
+            (-6.834089885115624, "negative_other"),
+            (-5.83913109564781, "negative_other"),
+            (-4.846156317949296, "negative_other"),
+            (-3.856663444817066, "negative_other"),
+            (-2.87414501863718, "negative_other"),
+            (-1.908746703565121, "negative_other"),
+            (-1.0, "principal_minus_one"),
+            (-0.27289712923765164, "negative_other"),
+        ],
+    ),
+    # grid samples fall inside pole bands; -1 and -5 classify near_pole
+    "y2_a09999996": (
+        PowerLawFde(0.9999996, (RhsTerm(1.0, 2.0),)),
+        [
+            (-5.000001599999953, "near_pole"),
+            (-4.000002399997692, "negative_other"),
+            (-3.0012655746340755, "negative_other"),
+            (-2.9987357586622236, "negative_other"),
+            (-1.9999992000015916, "negative_other"),
+            (-1.0, "near_pole"),
+        ],
+    ),
+    # sigma = 7/30: no pole on the grid
+    "y4_a07": (
+        PowerLawFde(0.7, (RhsTerm(1.0, 4.0),)),
+        [
+            (-9.049211510300639, "negative_other"),
+            (-8.047800872385501, "negative_other"),
+            (-7.046073793888092, "negative_other"),
+            (-6.043899385929108, "negative_other"),
+            (-5.04105852150917, "negative_other"),
+            (-4.037150723040104, "negative_other"),
+            (-3.0313458803296083, "negative_other"),
+            (-2.02154472309351, "negative_other"),
+            (-1.0, "principal_minus_one"),
+            (0.23146423208713574, "positive"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RESONANCES))
+def test_resonance_scan_matches_golden_lists(name):
+    problem, expected = GOLDEN_RESONANCES[name]
+    found = resonances(problem, leading_order(problem))
+    assert [r.classification.value for r in found] == [k for _, k in expected]
+    for r, (value, _) in zip(found, expected):
+        assert r.value == pytest.approx(value, abs=1e-10)
+
+
 class TestCompatibility:
     def test_no_positive_resonances_vacuous(self):
         problem = cubic(0.8)
         lead = leading_order(problem)
         res = resonances(problem, lead)
-        entries = compatibility(problem, lead, res, depth=10)
+        entries = list(expand_series(problem, lead, res, depth=10).entries)
         assert entries == []
 
     def test_mittag_leffler_series_reproduced(self):
@@ -288,7 +364,7 @@ class TestCompatibility:
         problem = cubic(0.5, b=1.0)
         lead = leading_order(problem)
         res = resonances(problem, lead)
-        entries = compatibility(problem, lead, res, depth=12)
+        entries = list(expand_series(problem, lead, res, depth=12).entries)
         resonant = [e for e in entries if e.reason == "resonance"]
         assert len(resonant) == 1
         assert resonant[0].satisfied
@@ -300,7 +376,7 @@ class TestCompatibility:
         problem = PowerLawFde(0.5, (RhsTerm(1.0, 3.0), RhsTerm(1e-3, 1.0)))
         lead = leading_order(problem)
         res = resonances(problem, lead)
-        entries = compatibility(problem, lead, res, depth=12)
+        entries = list(expand_series(problem, lead, res, depth=12).entries)
         resonant = [e for e in entries if e.reason == "resonance"]
         assert len(resonant) == 1
         assert not resonant[0].satisfied
@@ -312,7 +388,7 @@ class TestCompatibility:
         problem = logistic(0.4)
         lead = leading_order(problem)
         res = resonances(problem, lead)
-        entries = compatibility(problem, lead, res, depth=8)
+        entries = list(expand_series(problem, lead, res, depth=8).entries)
         assert entries
         assert all(e.reason == "incommensurate" and not e.satisfied for e in entries)
 
@@ -320,7 +396,7 @@ class TestCompatibility:
         problem = cubic(0.8)
         lead = leading_order(problem)
         with pytest.raises(DepthOverflowError):
-            compatibility(problem, lead, [], depth=65)
+            list(expand_series(problem, lead, [], depth=65).entries)
 
     def test_positive_resonance_beyond_depth_reported(self):
         # a resonance the recursion never reaches is unverified, not passed
@@ -337,9 +413,9 @@ class TestCompatibility:
         )
         problem = PowerLawFde(alpha, (RhsTerm(1.0, 2.0),))
         res = [Resonance(r_star, ResonanceKind.POSITIVE)]
-        entries = compatibility(problem, lead, res, depth=4)
+        entries = list(expand_series(problem, lead, res, depth=4).entries)
         assert any(e.reason == "beyond_depth" and not e.satisfied for e in entries)
-        deep = compatibility(problem, lead, res, depth=12)
+        deep = list(expand_series(problem, lead, res, depth=12).entries)
         assert all(e.reason != "beyond_depth" for e in deep)
 
     def test_nonreal_series_marked_not_crashed(self):
@@ -360,7 +436,7 @@ class TestCompatibility:
         )
         problem = PowerLawFde(alpha, (RhsTerm(1.0, 2.0), RhsTerm(0.3, 1.5)))
         res = [Resonance(r_star, ResonanceKind.POSITIVE)]
-        entries = compatibility(problem, lead, res, depth=8)
+        entries = list(expand_series(problem, lead, res, depth=8).entries)
         assert any(e.reason == "nonreal_series" and not e.satisfied for e in entries)
 
 
