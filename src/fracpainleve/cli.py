@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from . import __version__, existence, painleve, solvers, specfun
@@ -47,8 +46,11 @@ class CliInputError(ValueError):
 
 
 @cache
-def _validator(name: str) -> jsonschema.protocols.Validator:
-    """Validator for a packaged schema, built and checked once on first use."""
+def _validator(name: str):
+    """Validator for a packaged schema, built and checked once on first use;
+    ``ml`` and ``caputo`` validate nothing, so they never import jsonschema."""
+    import jsonschema
+
     text = resources.files("fracpainleve").joinpath(f"schema/{name}").read_text()
     schema = json.loads(text)
     cls = jsonschema.validators.validator_for(schema)
@@ -56,11 +58,11 @@ def _validator(name: str) -> jsonschema.protocols.Validator:
     return cls(schema)
 
 
-def _validate(doc: dict, name: str) -> None:
-    """Raise what ``jsonschema.validate`` raises, without rebuilding the validator."""
-    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
-    if error is not None:
-        raise error
+def _schema_error(doc: dict, name: str):
+    """The error ``jsonschema.validate`` would raise, or None."""
+    from jsonschema.exceptions import best_match
+
+    return best_match(_validator(name).iter_errors(doc))
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,8 @@ class Report:
 
     def to_json_text(self) -> str:
         doc = self.to_json_dict()
-        _validate(doc, "report.schema.json")
+        if (error := _schema_error(doc, "report.schema.json")) is not None:
+            raise error
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -161,12 +164,10 @@ def parse_problem(path: str) -> ProblemFile:
             raise CliInputError(
                 f"field 'alpha': got {alpha}, but alpha ∈ (0, 1] is required"
             )
-    try:
-        _validate(doc, "problem.schema.json")
-    except jsonschema.ValidationError as exc:
+    if (error := _schema_error(doc, "problem.schema.json")) is not None:
         raise CliInputError(
-            f"problem file invalid at {exc.json_path}: {exc.message}"
-        ) from exc
+            f"problem file invalid at {error.json_path}: {error.message}"
+        ) from error
     # Cross-field checks the schema cannot express.
     if kind == "multiterm_linear":
         orders = doc["orders"]

@@ -204,14 +204,18 @@ def _lag_table(
     return m0[:n], c, right
 
 
+def _causal_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[i] = sum_{j <= i} a[i - j] b[j] for i < len(b), with a at least as
+    long as b: a zero-padded FFT product in O(N log N)."""
+    n = b.size
+    size = 1 << (2 * n - 1).bit_length()
+    return np.fft.irfft(np.fft.rfft(a[:n], size) * np.fft.rfft(b, size), size)[:n]
+
+
 def _lag_apply(c: np.ndarray, right: np.ndarray, f: np.ndarray) -> np.ndarray:
     """(W f)[i] = sum_{j <= i} c[i - j] f_j - right[i + 1] f_0 for the tables
-    of :func:`_lag_table`: a Toeplitz convolution, done by zero-padded FFT in
-    O(N log N) without forming W."""
-    n = f.size
-    size = 1 << (2 * n - 1).bit_length()
-    conv = np.fft.irfft(np.fft.rfft(c, size) * np.fft.rfft(f, size), size)[:n]
-    return conv - right[1 : n + 1] * f[0]
+    of :func:`_lag_table`: a Toeplitz convolution, by FFT without forming W."""
+    return _causal_convolve(c, f) - right[1 : f.size + 1] * f[0]
 
 
 def rl_integral(f: GridFunction, alpha: float) -> GridFunction:
@@ -244,13 +248,12 @@ def caputo_l1(f: GridFunction, alpha: float) -> GridFunction:
         raise DomainError("need at least 3 grid points")
     h = f.spacing()
     n = f.grid.size
-    df = np.diff(f.values)
-    # kernel q_k = (k+1)^(1-alpha) - k^(1-alpha); out[m] = sum_j df_j q_{m-1-j}
-    u = np.arange(n, dtype=float) ** (1.0 - alpha)
-    q = u[1:] - u[:-1]
-    conv = np.convolve(df, q)[: n - 1]
+    # kernel q_k = (k+1)^beta - k^beta = beta m0_beta[k+1], beta = 1 - alpha,
+    # from the cancellation-free lag-table moment; out[m] = sum_j df_j q_{m-1-j}
+    beta = 1.0 - alpha
+    q = beta * _lag_table(n, 1.0, beta)[0][1:]
     scale = h ** (-alpha) / specfun.gamma(2.0 - alpha).value()
     out = np.empty(n)
     out[0] = math.nan
-    out[1:] = scale * conv
+    out[1:] = scale * _causal_convolve(q, np.diff(f.values))
     return GridFunction(f.grid.copy(), out)

@@ -284,9 +284,12 @@ class PainleveReport:
 
 def _power_ratio(x: float, alpha: float) -> float | GammaRatioDegeneracy:
     """Power-rule factor Gamma(x)/Gamma(x-alpha) of (t-t0)^(x-1); pole pairs
-    resolve to their finite limit, ``INFINITE`` passes through.  Callers form
-    x themselves: at alpha = 1 the indicial residual is exactly zero across a
-    pole-pair band, where rounding x differently moves the bisected root."""
+    resolve to their finite limit, ``INFINITE`` passes through.  At alpha = 1
+    the factor is x - 1 exactly, pole pairs included; the Gamma route would
+    be flat across each pole-pair band, where the bisected root would depend
+    on rounding."""
+    if alpha == 1.0:
+        return x - 1.0
     ratio = specfun.gamma_ratio(x, x - alpha)
     if ratio is GammaRatioDegeneracy.INDETERMINATE:
         return specfun.pole_pair_ratio_limit(x, x - alpha)

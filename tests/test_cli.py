@@ -124,6 +124,15 @@ class TestSubcommands:
         assert proc.stdout == "2.718281828459045\n"
         assert proc.stderr == ""
 
+    def test_cli_import_leaves_jsonschema_unloaded(self):
+        # ml and caputo validate nothing, so they do not pay for jsonschema
+        code = "import sys, fracpainleve.cli; print('jsonschema' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_ml_range_error_exit_3(self):
         proc = run_cli("ml", "--alpha", "0.5", "--z", "50")
         assert proc.returncode == 3
@@ -335,8 +344,8 @@ class TestMlAndLinearPaths:
         assert "lambda" in proc.stderr
 
     def test_solve_ml_cancellation_exit_3(self, tmp_path):
-        # E_{0.5,1}(-2 t^0.5) needs z = -3.46 at t = 3, past the series'
-        # cancellation limit (about -3.44 for alpha = 0.5)
+        # E_{0.5,1}(-2 t^0.5) needs z = -52.9 at t = 700, below the
+        # contour's range (z >= -50)
         f = tmp_path / "decay.json"
         f.write_text(
             json.dumps(
@@ -344,7 +353,7 @@ class TestMlAndLinearPaths:
                     "kind": "ivp",
                     "alpha": 0.5,
                     "rhs": "-2*y",
-                    "interval": [0, 3],
+                    "interval": [0, 700],
                     "y0": 1.0,
                     "box_radius": 1.0,
                     "lambda": 2.0,
@@ -352,6 +361,12 @@ class TestMlAndLinearPaths:
             )
         )
         proc = run_cli("solve", "--problem", str(f), "--method", "ml")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "range" in proc.stderr
+        # the cancellation guard still protects the series for alpha > 1:
+        # E_{2,1}(-(pi/2)^2) = cos(pi/2) against a largest term of 1.23
+        proc = run_cli("ml", "--alpha", "2", "--z", "-2.4674011002723395")
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert "cancellation loss" in proc.stderr

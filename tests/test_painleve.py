@@ -604,3 +604,13 @@ class TestProblemValidation:
             PowerLawFde(1.5, (RhsTerm(1.0, 2.0),))
         with pytest.raises(ValueError):
             PowerLawFde(0.0, (RhsTerm(1.0, 2.0),))
+
+
+@pytest.mark.parametrize("power", [1.5, 2.0, 2.5, 3.0, 4.0, 5.0])
+def test_classical_minus_one_resonance_is_exact(power):
+    # at alpha = 1 the power-rule factor is x - 1, pole pairs included, so
+    # y' = c y^p has its resonance at exactly -1 (criterion 4 allows 1e-9)
+    for c in (-2.0, -1.0, -0.7, -0.25, 0.25, 0.5, 0.7, 1.0, 2.0):
+        report = run_test(PowerLawFde(1.0, (RhsTerm(c, power),)), depth=4)
+        assert [r.value for r in report.resonances] == [-1.0], (power, c)
+        assert report.resonances[0].classification is ResonanceKind.PRINCIPAL_MINUS_ONE

@@ -146,10 +146,24 @@ class TestSolveLinearMl:
         with pytest.raises(ValueError):
             solve_linear_ml(0.5, 1.0, None, 1.0, np.array([0.0, 0.1, 0.3]))
 
+    def test_decay_past_the_series_range_agrees_with_abm_and_picard(self):
+        # D^0.5 y = -2y, y(0) = 1 on [0, 3] reaches z = -3.46, where the
+        # series cancels and the contour takes over; criterion 8's 5e-3
+        rhs = lambda t, y: -2.0 * y  # noqa: E731
+        abm = abm_solve(IvpProblem(0.5, rhs, (0.0, 3.0), 1.0, 1.0), grid_points=4000)
+        ml = solve_linear_ml(0.5, 2.0, None, 1.0, abm.grid)
+        assert np.max(np.abs(ml.values - abm.values)) <= 5e-3
+        problem = IvpProblem(0.5, rhs, (0.0, 3.0), 1.0, 1.0, lipschitz=2.0)
+        cert = certify_nonlinear(problem)
+        pic = picard_solve(problem, cert, grid_points=600, tol=1e-10)
+        ml = solve_linear_ml(0.5, 2.0, None, 1.0, pic.grid)
+        assert np.max(np.abs(ml.values - pic.values)) <= 5e-3
+
     def test_range_error_propagates(self):
         from fracpainleve.specfun import MittagLefflerRangeError
 
-        grid = np.linspace(0.0, 40.0, 65)
+        # z = -100^0.9 = -63.1 at the end, below the contour's range
+        grid = np.linspace(0.0, 100.0, 65)
         with pytest.raises(MittagLefflerRangeError):
             solve_linear_ml(0.9, 1.0, None, 1.0, grid)
 

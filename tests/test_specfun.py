@@ -1,10 +1,13 @@
 import math
+import sys
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracpainleve import specfun
 from fracpainleve.specfun import (
     GammaRatioDegeneracy,
     MittagLefflerParams,
@@ -160,10 +163,11 @@ def test_mittag_leffler_range_error_beyond_ten():
 
 
 def test_mittag_leffler_cancellation_guard_small_alpha():
-    # alpha = 0.3, z = -9: the alternating series loses all accuracy in
-    # double precision; a range error beats silent garbage.
-    with pytest.raises(MittagLefflerRangeError):
-        mittag_leffler(MittagLefflerParams(0.3), -9.0)
+    # The contour solves alpha = 0.3, z = -9 now; the guard still protects
+    # the series for alpha > 1.  E_{2,1}(-(pi/2)^2) = cos(pi/2) = 0 against a
+    # largest term of 1.23: a range error beats silent garbage.
+    with pytest.raises(MittagLefflerRangeError, match="cancellation loss"):
+        mittag_leffler(MittagLefflerParams(2.0), -((math.pi / 2) ** 2))
 
 
 def test_mittag_leffler_small_alpha_moderate_argument_ok():
@@ -171,3 +175,100 @@ def test_mittag_leffler_small_alpha_moderate_argument_ok():
     value = mittag_leffler(MittagLefflerParams(0.3), -0.9)
     assert math.isfinite(value)
     assert 0.0 < value < 1.0
+
+
+def test_mittag_leffler_contour_range_ends_at_minus_fifty():
+    params = MittagLefflerParams(0.5)
+    assert math.isfinite(mittag_leffler(params, -50.0))
+    with pytest.raises(MittagLefflerRangeError, match="range"):
+        mittag_leffler(params, np.array([-1.0, -50.5]))
+
+
+def test_mittag_leffler_scalar_in_float_out_array_in_array_out():
+    params = MittagLefflerParams(0.5)
+    assert type(mittag_leffler(params, -1.0)) is float
+    assert type(mittag_leffler(params, -20.0)) is float
+    out = mittag_leffler(params, np.array([[-1.0, 0.5], [-20.0, 0.0]]))
+    assert out.shape == (2, 2)
+    assert out[1, 1] == 1.0
+
+
+def _ml_reference(alpha, beta, z):
+    """E_{alpha,beta}(z) in mpmath: the series with enough guard digits for
+    its cancellation where |z|^(1/alpha) < 120, Talbot's inversion of the
+    Laplace transform s^(alpha-beta)/(s^alpha - z) at t = 1 beyond."""
+    x = abs(z) ** (1.0 / alpha)
+    if x < 120.0:
+        with mpmath.workdps(25 + int(x / 2.3)):
+            zm, a, total, k = mpmath.mpf(z), mpmath.mpf(alpha), mpmath.mpf(0), 0
+            while True:
+                term = zm**k * mpmath.rgamma(a * k + beta)
+                total += term
+                if k > x and abs(term) < mpmath.mpf(10) ** -25:
+                    return float(total)
+                k += 1
+    with mpmath.workdps(30):
+        return float(
+            mpmath.invertlaplace(
+                lambda s: s ** (alpha - beta) / (s**alpha - z), 1, method="talbot"
+            )
+        )
+
+
+def test_mittag_leffler_matches_mpmath_oracle_on_negative_axis():
+    # alpha in [0.3, 1], beta in {1, alpha, alpha+1, alpha+2}, z in [-50, 0],
+    # on both sides of the series/contour switch at |z| = 2^alpha
+    for alpha in (0.3, 0.35, 0.45, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 1.0):
+        for beta in (1.0, alpha, alpha + 1.0, alpha + 2.0):
+            switch = 2.0**alpha
+            zs = [-0.5, -0.99 * switch, -1.01 * switch, -4.0, -15.0, -50.0]
+            got = mittag_leffler(MittagLefflerParams(alpha, beta), np.array(zs))
+            for z, value in zip(zs, got):
+                exact = _ml_reference(alpha, beta, z)
+                if abs(exact) >= 1e-2:
+                    assert abs(value - exact) <= 1e-12 * abs(exact), (alpha, beta, z)
+                else:
+                    assert abs(value - exact) <= 1e-14, (alpha, beta, z)
+
+
+def _terms(alpha, beta, z):
+    """The terms the evaluator adds for z: contour summands where the contour
+    takes over, else the power series as the scalar loop it replaced summed
+    it (z^k by repeated products, stopping after two terms below 1e-16 of
+    the partial sum).  alpha, beta > 0, so every Gamma argument is positive."""
+    if alpha <= 1.0 and alpha <= beta <= alpha + 2.0 and z < -(2.0**alpha):
+        log_s = specfun._ML_LOG_S
+        summands = specfun._ML_WEIGHTS * np.exp((alpha - beta) * log_s)
+        return None, (summands / (np.exp(alpha * log_s) - z)).imag
+    terms, zk, small = [], 1.0, 0
+    while small < 2:
+        terms.append(zk * math.exp(-math.lgamma(alpha * len(terms) + beta)))
+        small = small + 1 if abs(terms[-1]) < 1e-16 * abs(sum(terms)) else 0
+        zk *= z
+    return math.fsum(terms), np.array(terms)
+
+
+@given(
+    st.floats(min_value=0.3, max_value=1.5),
+    st.floats(min_value=0.3, max_value=3.0),
+    st.lists(st.floats(min_value=-50.0, max_value=1.0), min_size=1, max_size=12),
+)
+@settings(max_examples=100, deadline=None)
+def test_mittag_leffler_array_matches_scalar_calls(alpha, beta, zs):
+    # each element against the scalar call and, on the series, against the
+    # compensated sum of the scalar loop's terms
+    params = MittagLefflerParams(alpha, beta)
+    try:
+        got = mittag_leffler(params, np.array(zs))
+    except MittagLefflerRangeError:
+        # then some element raises on its own as well
+        with pytest.raises(MittagLefflerRangeError):
+            for z in zs:
+                mittag_leffler(params, z)
+        return
+    for z, value in zip(zs, got):
+        reference, terms = _terms(alpha, beta, z)
+        tol = 4 * sys.float_info.epsilon * float(np.sum(np.abs(terms)))
+        assert abs(value - mittag_leffler(params, z)) <= tol
+        if reference is not None:
+            assert abs(value - reference) <= tol
