@@ -14,11 +14,11 @@ resolved explicitly so that integer-order sanity checks go through the same
 code path.
 """
 
+import bisect
 import enum
-import heapq
+import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 from . import specfun
@@ -72,9 +72,10 @@ class EngineSettings:
     """The tolerances a problem file may set through ``options``: the largest
     indicial residual a resonance may keep (``tol_res``), the largest forcing
     a compatible resonance may leave (``tol_compat``) and the half-width of
-    the band around a Gamma pole (``pole_band``), whose edges the scan steps
-    to and inside which a root is ``near_pole``.  The scan window and step
-    and the other tolerances are module constants."""
+    the band around a Gamma pole (``pole_band``), inside which a root is
+    ``near_pole``; around an unpaired numerator pole its edges are samples of
+    the scan.  The scan window and step and the other tolerances are module
+    constants."""
 
     pole_band: float = 1e-6
     tol_res: float = 1e-8
@@ -403,6 +404,20 @@ def _bisect(f, a: float, b: float, fa: float, fb: float, resid_tol: float) -> fl
     return a if abs(fa) <= abs(fb) else b
 
 
+def _at_most_one_root(alpha: float, c: float, xa: float, xb: float) -> bool:
+    """Whether g(x) = Gamma(x)/Gamma(x-alpha) = c has at most one root on [xa, xb]
+    inside one interval (-k, 1-k), k >= 1.  There g = R S, R = Gamma(1-x+alpha)/
+    Gamma(1-x) > 0 decreasing, S = cos(pi alpha) - sin(pi alpha) cot(pi x), so
+    S - c/R increases where c (1/R)' <= c alpha psi'(y) Gamma(y)/Gamma(y+alpha),
+    y = 1 - xb, is below S' >= pi sin(pi alpha)/max sin^2(pi x); always if c <= 0."""
+    y = 1.0 - xb  # psi'(y) <= psi'(min(k, 64)) and psi'(y) <= 1/y + 1/y^2
+    psi1 = math.pi**2 / 6.0 - math.fsum(1.0 / j**2 for j in range(1, min(int(y), 64)))
+    psi1 = min(psi1, 1.0 / y + 1.0 / y**2)
+    slope = c * alpha * psi1 * math.exp(math.lgamma(y) - math.lgamma(y + alpha))
+    sin2 = math.sin(math.pi * min(max(xa, math.floor(xa) + 0.5), xb)) ** 2
+    return slope * sin2 < math.pi * math.sin(math.pi * alpha)
+
+
 def resonances(
     problem: PowerLawFde,
     leading: LeadingOrder,
@@ -410,12 +425,12 @@ def resonances(
 ) -> list[Resonance]:
     """All real roots of g(r) = p f(t0) A^(p-1) on the scan window.
 
-    One sorted list of points holds the scan grid, every unpaired numerator
-    pole (where the residual is infinite) and that pole's band edges; the
-    residual is evaluated once per point.  Each consecutive pair with finite
-    residuals of opposite sign is refined by bisection.  Roots are
-    deduplicated, residual-checked and classified; the returned list is
-    deterministic for fixed settings.
+    The roots are those of a walk that bisects each pair of consecutive finite
+    residuals of opposite sign in one sorted stream: the grid lo + i*step,
+    every unpaired numerator pole (residual None) and its band edges.  On a
+    piece between poles that ``_at_most_one_root`` proves, bisection over
+    stream indices finds the sign change without walking the piece.  Roots
+    are deduplicated, residual-checked and classified.
     """
     if leading.degenerate:
         raise ValueError("leading order is degenerate; no resonance analysis")
@@ -439,23 +454,48 @@ def resonances(
         g = _power_ratio(r + 1.0 - sigma, alpha)
         return None if g is GammaRatioDegeneracy.INFINITE else g - rhs
 
-    n_steps = int(round((hi - lo) / _SCAN_STEP))
-    grid = (lo + i * _SCAN_STEP for i in range(n_steps + 1))
-    edges = sorted(e for p in hazards for e in (p - band, p + band) if lo <= e <= hi)
-    # the residual is infinite on the poles themselves; no call needed there
-    samples = heapq.merge(
-        ((r, resid(r)) for r in heapq.merge(grid, edges)),
-        [(p, None) for p in sorted(hazards)],
-        key=operator.itemgetter(0),
-    )
+    # stream index k -> point; ties: grid, edge, pole; a pole at inf ends it
+    grid = range(int(round((hi - lo) / _SCAN_STEP)) + 1)
+    at = lambda i: lo + i * _SCAN_STEP  # noqa: E731
+    edges = [e for p in hazards for e in (p - band, p + band) if lo <= e <= hi]
+    extras = sorted([(e, False) for e in edges] + [(p, True) for p in hazards + [math.inf]])
+    idx = [t + bisect.bisect_right(grid, x, key=at) for t, (x, _) in enumerate(extras)]
+
+    @functools.lru_cache(maxsize=64)
+    def sample(k: int) -> tuple[float, float | None]:
+        t = bisect.bisect_left(idx, k)
+        x, pole = extras[t] if idx[t] == k else (at(k - t), False)
+        return x, None if pole else resid(x)
+
     roots: list[float] = []
-    for (a, fa), (b, fb) in itertools.pairwise(samples):
-        if fa is None or fb is None:
-            continue
-        if fa == 0.0:
-            roots.append(a)
-        elif (fa < 0.0) != (fb < 0.0):
-            roots.append(_bisect(resid, a, b, fa, fb, settings.tol_res))
+
+    def scan(s: int, e: int, split: bool) -> None:
+        xs, xe = (sample(k)[0] + 1.0 - sigma for k in (s, e))
+        same = math.floor(xs) == math.floor(xe)
+        # g = x - 1 at alpha = 1; for x > 0, g < 0 up to alpha and increasing after
+        if alpha == 1.0 or xs > 0.0 or same and _at_most_one_root(alpha, rhs, xs, xe):
+            if ((fs := sample(s)[1]) < 0.0) != (sample(e)[1] < 0.0):
+                flip = lambda k: (sample(k)[1] < 0.0) != (fs < 0.0)  # noqa: E731
+                s = bisect.bisect_left(range(e), True, s + 1, e, key=flip) - 1
+            e = min(s + 2, e)  # walk only the two cells from the sign change
+        elif split and same:  # 16 pieces: the bound is sharper near the poles
+            for a, b in itertools.pairwise([*range(s, e, (e - s) // 16 + 1), e]):
+                scan(a, b, False)
+            return
+        for (a, fa), (b, fb) in itertools.pairwise(map(sample, range(s, e + 1))):
+            if fa is None or fb is None:
+                continue
+            if fa == 0.0:
+                roots.append(a)
+            elif (fa < 0.0) != (fb < 0.0):
+                roots.append(_bisect(resid, a, b, fa, fb, settings.tol_res))
+
+    # one gap per pair of unpaired poles, less its end samples on a pole
+    for p, q in itertools.pairwise([-1] + [k for k, (_, pole) in zip(idx, extras) if pole]):
+        s = next((k for k in range(p + 1, q - 1) if sample(k)[1] is not None), q - 1)
+        e = next((k for k in range(q - 1, s, -1) if sample(k)[1] is not None), s)
+        if s < e:
+            scan(s, e, True)
 
     deduped: list[float] = []
     for r in sorted(roots):

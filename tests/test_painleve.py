@@ -1,4 +1,8 @@
+import heapq
+import itertools
 import math
+import operator
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +26,8 @@ from fracpainleve.painleve import (
     resonances,
     run_test,
 )
-from fracpainleve.specfun import gamma, gamma_ratio
+from fracpainleve import painleve, specfun
+from fracpainleve.specfun import GammaRatioDegeneracy, gamma, gamma_ratio
 
 # 50-digit references, computed once with an arbitrary-precision Gamma
 GR_06_02 = 0.32438312916656430  # Gamma(0.6)/Gamma(0.2)
@@ -614,3 +619,170 @@ def test_classical_minus_one_resonance_is_exact(power):
         report = run_test(PowerLawFde(1.0, (RhsTerm(c, power),)), depth=4)
         assert [r.value for r in report.resonances] == [-1.0], (power, c)
         assert report.resonances[0].classification is ResonanceKind.PRINCIPAL_MINUS_ONE
+
+
+def reference_walk(problem, lead, opts=EngineSettings()):
+    """The scan before pole-interval brackets: one walk over the whole stream
+    (grid, band edges, unpaired poles), bisecting every sign change; kept as
+    the reference whose list ``resonances`` must reproduce exactly."""
+    sigma, alpha, band = lead.sigma, problem.alpha, opts.pole_band
+    rhs = lead.balanced_power * problem.dominant.coefficient * lead.amplitude_power
+    lo, hi, step = painleve._SCAN_LO, painleve._SCAN_HI, painleve._SCAN_STEP
+    num = painleve._pole_grid(sigma - 1.0, lo, hi)
+    den = painleve._pole_grid(sigma + alpha - 1.0, lo, hi)
+    hazards = painleve._unpaired(num, den)
+    banded = hazards + painleve._unpaired(den, num)
+
+    def resid(r):
+        g = painleve._power_ratio(r + 1.0 - sigma, alpha)
+        return None if g is GammaRatioDegeneracy.INFINITE else g - rhs
+
+    grid = (lo + i * step for i in range(int(round((hi - lo) / step)) + 1))
+    edges = sorted(e for p in hazards for e in (p - band, p + band) if lo <= e <= hi)
+    samples = heapq.merge(
+        ((r, resid(r)) for r in heapq.merge(grid, edges)),
+        [(p, None) for p in sorted(hazards)],
+        key=operator.itemgetter(0),
+    )
+    roots = []
+    for (a, fa), (b, fb) in itertools.pairwise(samples):
+        if fa is not None and fb is not None and fa == 0.0:
+            roots.append(a)
+        elif fa is not None and fb is not None and (fa < 0.0) != (fb < 0.0):
+            roots.append(painleve._bisect(resid, a, b, fa, fb, opts.tol_res))
+    deduped = []
+    for r in sorted(roots):
+        if not deduped or r - deduped[-1] > painleve._DEDUPE_TOL:
+            deduped.append(r)
+    out = []
+    for r in deduped:
+        fr = resid(r)
+        if fr is None or abs(fr) > opts.tol_res:
+            continue
+        if any(abs(r - p) <= band for p in banded):
+            kind = "near_pole"
+        elif abs(r + 1.0) <= painleve._MINUS_ONE_TOL:
+            kind = "principal_minus_one"
+        else:
+            kind = "positive" if r > painleve._POSITIVE_TOL else "negative_other"
+        out.append((r, kind))
+    return out
+
+
+def _listed(res):
+    return [(r.value, r.classification.value) for r in res]
+
+
+def _count_gamma_ratio(monkeypatch):
+    calls = [0]
+    inner = specfun.gamma_ratio
+
+    def counted(x, y):
+        calls[0] += 1
+        return inner(x, y)
+
+    monkeypatch.setattr(specfun, "gamma_ratio", counted)
+    return calls
+
+
+@st.composite
+def _scan_problems(draw):
+    if draw(st.booleans()):
+        digits = draw(st.integers(1, 4))
+        alpha = round(draw(st.floats(0.05, 1.0)), digits)
+    else:  # within 2e-9 to 1e-6 of k/1000: pole bands and pole pairs nearly meet
+        offset = draw(st.floats(2e-9, 1e-6)) * draw(st.sampled_from([-1.0, 1.0]))
+        alpha = min(draw(st.integers(50, 1000)) / 1000 + offset, 1.0)
+    power = draw(st.sampled_from([1.5, 2.0, 2.5, 3.0, 4.0, 5.0]))
+
+    def coeff():
+        return draw(st.floats(0.25, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+
+    lower = draw(st.lists(st.floats(1.0, power - 0.1), max_size=2))
+    terms = [RhsTerm(coeff(), power)] + [RhsTerm(coeff(), q) for q in lower]
+    opts = EngineSettings(
+        pole_band=draw(st.sampled_from([1e-4, 1e-5, 1e-6, 1e-8])),
+        tol_res=draw(st.sampled_from([1e-8, 1e-12])),
+    )
+    return PowerLawFde(alpha, tuple(terms)), opts
+
+
+@given(case=_scan_problems())
+@settings(max_examples=30, deadline=None)
+def test_bracketed_scan_equals_full_walk(case):
+    # same count, same classes and == on the values: the bracketed scan
+    # bisects the very cells the full walk bisects
+    problem, opts = case
+    lead = leading_order(problem)
+    if lead.degenerate:
+        return
+    assert _listed(resonances(problem, lead, opts)) == reference_walk(problem, lead, opts)
+
+
+@pytest.mark.parametrize(
+    "problem", [logistic(0.4), cubic(0.8), GOLDEN_RESONANCES["y4_a07"][0]]
+)
+def test_scan_cost_stays_bracketed(problem, monkeypatch):
+    # the full-window walk costs about 20 000 Gamma ratios; brackets a few hundred
+    lead = leading_order(problem)
+    calls = _count_gamma_ratio(monkeypatch)
+    resonances(problem, lead)
+    assert 0 < calls[0] <= 1000
+
+
+def test_uniqueness_bound_is_sound():
+    # wherever the bound claims at most one root of g = c > 0 on (n, n+1),
+    # 10^4 samples of g - c change sign at most once
+    rng = random.Random(2024)
+    claimed = 0
+    for _ in range(300):
+        alpha, c, n = rng.uniform(0.05, 0.99), rng.uniform(0.01, 30.0), rng.randint(-12, -1)
+        if not painleve._at_most_one_root(alpha, c, float(n), n + 1.0):
+            continue
+        claimed += 1
+        xs = [n + (i + 0.5) / 1e4 for i in range(10_000)]
+        signs = [math.gamma(x) / math.gamma(x - alpha) < c for x in xs]
+        assert sum(a != b for a, b in itertools.pairwise(signs)) <= 1, (alpha, c, n)
+    assert 100 < claimed < 300
+
+
+def test_unproven_piece_is_walked(monkeypatch):
+    # y' = y^1.5 at alpha = 0.51: c = 21.3 defeats the bound on (-1, 0) as a
+    # whole and on its middle pieces, which are walked point by point
+    problem = PowerLawFde(0.51, (RhsTerm(1.0, 1.5),))
+    lead = leading_order(problem)
+    c = 1.5 * lead.amplitude_power
+    assert not painleve._at_most_one_root(0.51, c, -1.0, 0.0)
+    verdicts = []
+    bound = painleve._at_most_one_root
+
+    def spy(alpha, c, xa, xb):
+        verdicts.append((xa, xb, bound(alpha, c, xa, xb)))
+        return verdicts[-1][2]
+
+    monkeypatch.setattr(painleve, "_at_most_one_root", spy)
+    calls = _count_gamma_ratio(monkeypatch)
+    found = _listed(resonances(problem, lead))
+    walked = [(a, b) for a, b, ok in verdicts if not ok and -1.0 < a < b < 0.0]
+    walked = [(a, b) for a, b in walked if b - a < 0.5]  # pieces, not the interval
+    assert len(walked) >= 2
+    assert calls[0] >= sum(xb - xa for xa, xb in walked) / painleve._SCAN_STEP
+    monkeypatch.undo()
+    assert found == reference_walk(problem, lead)
+
+
+@pytest.mark.parametrize("power", [2.0, 3.0])
+def test_paired_pole_window_is_walked(power, monkeypatch):
+    # alpha = 1 - 5e-10 pairs every numerator pole with a denominator pole, so
+    # no pole splits the window; spanning pole pairs, it is walked in full.
+    # The balance of y^2 is degenerate there, so the leading order is built
+    # from its alpha = 1 limit, Gamma(1-sigma)/Gamma(-sigma) = -sigma.
+    alpha = 1.0 - 5e-10
+    sigma = alpha / (power - 1.0)
+    problem = PowerLawFde(alpha, (RhsTerm(1.0, power),))
+    lead = LeadingOrder(sigma, 1.0, power, False, True, -sigma)
+    calls = _count_gamma_ratio(monkeypatch)
+    found = _listed(resonances(problem, lead))
+    assert calls[0] >= 20_001
+    monkeypatch.undo()
+    assert found == reference_walk(problem, lead)
